@@ -152,8 +152,7 @@ impl Matrix {
 
     /// Order-stable FNV-1a digest over dimensions and contents —
     /// shares [`tempus_nvdla::cube::fnv1a`] with the cube digests so
-    /// every job-input digest in the workspace is comparable and the
-    /// serving layer can key its result cache uniformly.
+    /// output digests compare across backends.
     #[must_use]
     pub fn content_hash(&self) -> u64 {
         tempus_nvdla::cube::fnv1a(

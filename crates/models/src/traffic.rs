@@ -445,9 +445,19 @@ mod tests {
                 features, kernels, ..
             } => features.content_hash() ^ kernels.content_hash(),
             TracePayload::Gemm { a, b } => a.content_hash() ^ b.content_hash(),
-            TracePayload::Network { input, layers } => layers
-                .iter()
-                .fold(input.content_hash(), |acc, l| acc ^ l.content_hash()),
+            TracePayload::Network { input, layers } => {
+                layers.iter().fold(input.content_hash(), |acc, l| {
+                    acc ^ tempus_nvdla::cube::fnv1a(
+                        [
+                            l.kernels.content_hash(),
+                            l.conv.content_hash(),
+                            l.sdp.content_hash(),
+                            l.pool.map_or(0, |p| p.content_hash().max(1)),
+                        ]
+                        .into_iter(),
+                    )
+                })
+            }
         }
     }
 

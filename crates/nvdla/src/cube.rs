@@ -103,7 +103,7 @@ impl DataCube {
     ///
     /// Two cubes share a digest iff they are equal (modulo the usual
     /// 64-bit collision caveat) — the runtime uses this to compare
-    /// outputs across backends and key caches without cloning cubes.
+    /// outputs across backends without cloning cubes.
     #[must_use]
     pub fn content_hash(&self) -> u64 {
         fnv1a(
@@ -443,16 +443,36 @@ impl KernelSet {
     }
 }
 
-/// FNV-1a over a word stream, byte by byte — the one digest
-/// implementation the workspace shares, so cross-backend output
-/// digests stay comparable.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+/// Four FNV-1a steps over zero bytes: `h ^= 0` is the identity, so
+/// they reduce to one multiply by `FNV_PRIME⁴`.
+const FNV_PRIME_4: u64 = FNV_PRIME
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME)
+    .wrapping_mul(FNV_PRIME);
+
+/// FNV-1a over a word stream, byte by byte (little-endian) — the one
+/// digest implementation the workspace shares, so cross-backend
+/// output digests stay comparable.
+///
+/// Element words are `v as u32 as u64`, so their high four bytes are
+/// zero; those words hash their four low bytes and then fold the four
+/// zero bytes with a single multiply by `FNV_PRIME⁴` — bit-identical
+/// to the byte loop at five multiplies instead of eight.
 pub fn fnv1a(words: impl Iterator<Item = u64>) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let bytes = |h: u64, half: u32| {
+        half.to_le_bytes()
+            .into_iter()
+            .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+    };
+    let mut h = FNV_OFFSET;
     for w in words {
-        for b in w.to_le_bytes() {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        h = bytes(h, w as u32);
+        h = match (w >> 32) as u32 {
+            0 => h.wrapping_mul(FNV_PRIME_4),
+            high => bytes(h, high),
+        };
     }
     h
 }
@@ -589,5 +609,48 @@ mod tests {
         assert_eq!(k1.content_hash(), k2.content_hash());
         k2.set(1, 0, 0, 2, -5);
         assert_ne!(k1.content_hash(), k2.content_hash());
+    }
+
+    /// The textbook FNV-1a byte loop the zero-high-half fast path
+    /// must reproduce exactly.
+    fn fnv1a_bytewise(words: &[u64]) -> u64 {
+        let mut h = FNV_OFFSET;
+        for w in words {
+            for b in w.to_le_bytes() {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(FNV_PRIME);
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn fnv1a_fast_path_matches_the_byte_loop() {
+        // SplitMix64 stream: a mix of full-width words and element
+        // words (`v as u32 as u64`, high half zero).
+        let mut state = 0x1234_5678_9ABC_DEF0u64;
+        let mut next = move || {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        for len in 0..64 {
+            let words: Vec<u64> = (0..len)
+                .map(|i| {
+                    let w = next();
+                    match i % 4 {
+                        0 => w,
+                        1 => w >> 32,
+                        2 => (w as i8) as i32 as u32 as u64,
+                        _ => w & 0x0000_0001_0000_00FF,
+                    }
+                })
+                .collect();
+            assert_eq!(fnv1a(words.iter().copied()), fnv1a_bytewise(&words));
+        }
+        let edges = [0, 1, u64::from(u32::MAX), 1 << 32, u64::MAX];
+        assert_eq!(fnv1a(edges.iter().copied()), fnv1a_bytewise(&edges));
     }
 }

@@ -61,25 +61,6 @@ impl NetworkLayer {
         self.pool = Some(pool);
         self
     }
-
-    /// Order-stable FNV-1a digest over everything that determines the
-    /// layer's output: kernels, convolution parameters, SDP
-    /// requantization and optional pooling. The layer *name* is
-    /// deliberately excluded — two identically configured layers must
-    /// share a digest regardless of labelling, so the serving layer's
-    /// content-addressed cache can memoize across requests.
-    #[must_use]
-    pub fn content_hash(&self) -> u64 {
-        crate::cube::fnv1a(
-            [
-                self.kernels.content_hash(),
-                self.conv.content_hash(),
-                self.sdp.content_hash(),
-                self.pool.map_or(0, |p| p.content_hash().max(1)),
-            ]
-            .into_iter(),
-        )
-    }
 }
 
 /// Per-layer execution record.

@@ -1,14 +1,17 @@
 //! Content-addressed result cache.
 //!
 //! Production edge-DLA traffic repeats itself: the same weights serve
-//! every request of a deployment, and hot inputs recur. Since every
-//! job input in the workspace carries an order-stable FNV-1a digest
-//! (`DataCube::content_hash`, `KernelSet::content_hash`,
-//! `Matrix::content_hash`, `ConvParams`/`SdpConfig`/`PoolParams` and
-//! `NetworkLayer::content_hash`), a completed job can be memoized
-//! above the backend layer under `Job::content_key()` — the combined
-//! digest of `(input, weights, params)` — and replayed bit-identically
-//! without touching a core.
+//! every request of a deployment, and hot inputs recur. A completed
+//! job can therefore be memoized above the backend layer under
+//! `Job::content_key()` and replayed bit-identically without touching
+//! a core. The key is a word-wise hash of `(input, weights, params)`:
+//! tensor elements are packed two per 64-bit word and mixed in four
+//! independent multiply-rotate lanes, together with a payload-kind tag,
+//! every tensor's dimensions and the small FNV-1a digests of
+//! `ConvParams`/`SdpConfig`/`PoolParams`. Output digests
+//! (`JobOutput::digest`, `DataCube::content_hash`,
+//! `Matrix::content_hash`) remain FNV-1a, so they stay comparable
+//! across backends and with every recorded golden.
 //!
 //! The cache is a bounded LRU with lazy recency bookkeeping: each
 //! touch pushes a `(key, stamp)` pair onto a recency queue and records
@@ -142,12 +145,9 @@ impl ResultCache {
         self.map.is_empty()
     }
 
-    fn touch(&mut self, key: u64) {
-        self.stamp += 1;
-        let stamp = self.stamp;
-        if let Some(slot) = self.map.get_mut(&key) {
-            slot.stamp = stamp;
-        }
+    /// Queues `(key, stamp)` for the LRU after the key's live slot was
+    /// stamped.
+    fn push_recency(&mut self, key: u64, stamp: u64) {
         self.recency.push_back((key, stamp));
         // Keep the lazy queue from outgrowing the map unboundedly:
         // compact once it holds more stale than live pairs.
@@ -158,34 +158,32 @@ impl ResultCache {
         }
     }
 
-    /// Looks up a key, bumping recency and counting hit/miss.
+    /// Looks up a key, bumping recency and counting hit/miss. One map
+    /// probe per lookup.
     #[must_use]
     pub fn get(&mut self, key: u64) -> Option<CacheEntry> {
-        if self.map.contains_key(&key) {
-            self.touch(key);
-            self.hits += 1;
-            self.map.get(&key).map(|s| s.entry.clone())
-        } else {
+        let stamp = self.stamp + 1;
+        let Some(slot) = self.map.get_mut(&key) else {
             self.misses += 1;
-            None
-        }
+            return None;
+        };
+        slot.stamp = stamp;
+        let entry = slot.entry.clone();
+        self.stamp = stamp;
+        self.hits += 1;
+        self.push_recency(key, stamp);
+        Some(entry)
     }
 
     /// Inserts (or refreshes) an entry, evicting the least recently
     /// used entry when over capacity.
     pub fn insert(&mut self, key: u64, entry: CacheEntry) {
-        let fresh = !self.map.contains_key(&key);
-        self.map.insert(
-            key,
-            Slot {
-                entry,
-                stamp: 0, // touched below
-            },
-        );
-        self.touch(key);
-        if fresh {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        if self.map.insert(key, Slot { entry, stamp }).is_none() {
             self.insertions += 1;
         }
+        self.push_recency(key, stamp);
         while self.map.len() > self.capacity {
             // Pop recency pairs until one is current; stale pairs
             // belong to keys re-touched or already evicted.

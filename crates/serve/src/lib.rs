@@ -20,9 +20,10 @@
 //!   **admission control** capping in-flight cycle-accurate jobs (the
 //!   overflow defers into a bounded side queue, then rejects);
 //! * [`cache`] — the **content-addressed result cache**: a bounded
-//!   LRU keyed on `(Job::content_key(), backend)` — the combined
-//!   digest of inputs, weights and parameters — replaying repeated
-//!   computations bit-identically without touching a core;
+//!   LRU keyed on `(Job::content_key(), backend)` — a word-wise hash
+//!   of inputs, weights and parameters (output digests stay FNV-1a) —
+//!   replaying repeated computations bit-identically without touching
+//!   a core;
 //! * [`stats`] — per-class p50/p95/p99 latency percentiles, SLO
 //!   compliance, queue-depth and cache counters in one
 //!   [`ServeStats`] snapshot.

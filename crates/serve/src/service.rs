@@ -984,12 +984,9 @@ impl Dispatcher {
     fn admit(&mut self, ingest: Ingest) {
         let Ingest { request, accepted } = ingest;
         let class = request.class();
-        let key = cache_key(
-            request.job.content_key(),
-            self.backend_for(request.fidelity),
-        );
         if self.sink.is_enabled() {
-            // The queue span runs from acceptance to this pop.
+            // The queue span runs from acceptance to this pop, before
+            // any dispatcher work on the request (key hashing included).
             let waited = accepted.elapsed().as_nanos() as u64;
             let now = self.telemetry.now_ns();
             self.sink.span(
@@ -1001,6 +998,10 @@ impl Dispatcher {
                 0,
             );
         }
+        let key = cache_key(
+            request.job.content_key(),
+            self.backend_for(request.fidelity),
+        );
         if let Some(entry) = self.cache.get(key) {
             let total_ns = accepted.elapsed().as_nanos() as u64;
             self.sink.instant(

@@ -4,6 +4,7 @@
 //! and admission control must keep cycle-accurate jobs from starving
 //! (or flooding) the service.
 
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 use proptest::prelude::*;
@@ -12,11 +13,13 @@ use rand::{RngExt, SeedableRng};
 use tempus::arith::IntPrecision;
 use tempus::core::gemm::Matrix;
 use tempus::models::netbuild;
+use tempus::models::traffic::{generate, TraceConfig};
 use tempus::models::zoo::Model;
 use tempus::models::QuantizedModel;
 use tempus::nvdla::conv::ConvParams;
 use tempus::nvdla::cube::{DataCube, KernelSet};
-use tempus::runtime::{BackendKind, EngineConfig, InferenceEngine, Job};
+use tempus::runtime::{BackendKind, EngineConfig, InferenceEngine, Job, JobPayload};
+use tempus::serve::cache::cache_key;
 use tempus::serve::{
     CacheOutcome, Fidelity, RejectReason, Request, ResponseOutcome, ServeConfig, StreamingService,
     SubmitError,
@@ -464,4 +467,59 @@ fn co_scheduled_serving_is_bit_identical_to_all_arrays() {
         on_stats.classes.iter().any(|c| c.arrays_granted > 1.0),
         "the wide convs should have been granted multiple arrays"
     );
+}
+
+/// Exact identity of a job's computation — every tensor and parameter,
+/// no ids or names — for checking the content key against.
+fn canonical_payload(job: &Job) -> String {
+    match &job.payload {
+        JobPayload::Conv {
+            features,
+            kernels,
+            params,
+        } => format!("conv {features:?} {kernels:?} {params:?}"),
+        JobPayload::Gemm { a, b } => format!("gemm {a:?} {b:?}"),
+        JobPayload::Network { input, layers } => {
+            let layers: Vec<_> = layers
+                .iter()
+                .map(|l| (&l.kernels, l.conv, &l.sdp, l.pool))
+                .collect();
+            format!("network {input:?} {layers:?}")
+        }
+    }
+}
+
+#[test]
+fn trace_requests_share_a_key_exactly_when_their_payloads_are_equal() {
+    let trace = generate(&TraceConfig::new(7));
+    let mut by_key: HashMap<u64, String> = HashMap::new();
+    let mut by_payload: HashMap<String, u64> = HashMap::new();
+    for t in &trace {
+        let request = Request::from_trace(t);
+        let key = request.job.content_key();
+        assert_eq!(key, request.clone().job.content_key(), "clone");
+        let payload = canonical_payload(&request.job);
+        let seen = by_key.entry(key).or_insert_with(|| payload.clone());
+        assert_eq!(*seen, payload, "request {}: key {key:#x} collides", t.id);
+        assert_eq!(*by_payload.entry(payload).or_insert(key), key);
+    }
+    assert_eq!(by_key.len(), by_payload.len());
+    assert!(
+        by_key.len() > 1 && by_key.len() < trace.len(),
+        "trace repeats"
+    );
+}
+
+#[test]
+fn cache_keys_differ_per_backend_kind() {
+    let kinds = [
+        BackendKind::TempusCycleAccurate,
+        BackendKind::NvdlaCycleAccurate,
+        BackendKind::FastFunctional,
+    ];
+    for job in [random_conv_job(1, 3), random_gemm_job(2, 4)] {
+        let content = job.content_key();
+        let keys: HashSet<u64> = kinds.iter().map(|&k| cache_key(content, k)).collect();
+        assert_eq!(keys.len(), kinds.len());
+    }
 }
